@@ -117,8 +117,8 @@ fn bench_simd_kernels(c: &mut Criterion) {
     use klotski_tensor::matrix::Matrix;
     use klotski_tensor::simd::{detected_backend, KernelBackend};
     // The 2x8 register-blocked nt kernel at an expert-FFN shape, scalar vs
-    // every backend the CPU (and feature set) offers. All variants are
-    // bit-identical; only the instruction mix differs.
+    // every backend the CPU offers. All variants are bit-identical; only
+    // the instruction mix differs.
     let xs = xavier_matrix(16, 256, 3);
     let w = xavier_matrix(1024, 256, 4);
     let mut out = Matrix::zeros(16, 1024);

@@ -26,9 +26,10 @@
 //!
 //! **Kernel-backend sweep** (`"model":"kernel_backend"` cells): decode
 //! cells with the tensor micro-kernels forced to the scalar reference vs
-//! the detected SIMD backend (`--features simd`; AVX2 or SSE2), everything
-//! else fixed at the default pipeline. Full mode gates the ≥1.5× decode
-//! win at 32 sequences when the AVX2 backend is available.
+//! the SIMD backend the default build dispatches to at runtime (AVX2, or
+//! SSE2 without it), everything else fixed at the default pipeline. Full
+//! mode gates the ≥1.5× decode win at 32 sequences when the AVX2 backend
+//! is available.
 //!
 //! **Quantized-GEMM sweep** (`"model":"quant_gemm"` cells): decode cells
 //! with a 4-bit quantized expert store, comparing the staged path
@@ -38,10 +39,11 @@
 //! largest batch.
 //!
 //! The bin asserts all modes produce byte-identical tokens and final
-//! hidden states (both batching axes are numerics-neutral). Output ends
-//! with one JSON line per cell; everything in it is deterministic except
-//! the wall-clock-derived `*_tps` / `speedup_*` fields, which are excluded
-//! from any determinism assertion.
+//! hidden states (both batching axes are numerics-neutral). It then prints
+//! one JSON line per cell, before the speedup gates run, so a failed gate
+//! still leaves its measurements; everything in them is deterministic
+//! except the wall-clock-derived `*_tps` / `speedup_*` fields, which are
+//! excluded from any determinism assertion.
 //!
 //! `KLOTSKI_CHEAP=1` shrinks the model and sweeps to CI-smoke scale while
 //! still executing **both** attention modes with byte-identity asserted —
@@ -551,6 +553,23 @@ fn main() {
 
     println!("\nall modes byte-identical (tokens + final hidden): confirmed");
 
+    // The measurements are printed before the speedup gates run, so a
+    // failed gate still leaves the record it judged.
+    println!("\n-- JSON --");
+    let mode = if cheap { "cheap" } else { "full" };
+    for c in &cells {
+        println!("{}", json_line(mode, c));
+    }
+    for c in &attn_cells {
+        println!("{}", attn_json_line(mode, c));
+    }
+    for c in &kernel_cells {
+        println!("{}", kernel_json_line(mode, c));
+    }
+    for c in &quant_cells {
+        println!("{}", quant_json_line(mode, c));
+    }
+
     // Expert-path bar (unchanged since PR 3): on a >= 8-sequence batch,
     // decode must run >= 2x faster batched than per-token. Cheap/CI mode
     // only smoke-checks execution (shared-runner wall clocks are too
@@ -569,8 +588,7 @@ fn main() {
         .fold(0.0f64, f64::max);
     // Kernel-backend bar: at 32 sequences, the SIMD micro-kernels must
     // decode >= 1.5x faster than the scalar reference — gated only when
-    // the AVX2 backend is actually available (the `simd` feature is on
-    // and the CPU has AVX2).
+    // the CPU has AVX2 (runtime dispatch otherwise picks SSE2).
     let simd_gate = kernel_cells
         .iter()
         .filter(|c| c.n_seqs >= 32)
@@ -618,20 +636,5 @@ fn main() {
             "fused quantized GEMM must beat staged dequantize-then-GEMM at the largest batch, \
              got {quant_gate:.2}x"
         );
-    }
-
-    println!("\n-- JSON --");
-    let mode = if cheap { "cheap" } else { "full" };
-    for c in &cells {
-        println!("{}", json_line(mode, c));
-    }
-    for c in &attn_cells {
-        println!("{}", attn_json_line(mode, c));
-    }
-    for c in &kernel_cells {
-        println!("{}", kernel_json_line(mode, c));
-    }
-    for c in &quant_cells {
-        println!("{}", quant_json_line(mode, c));
     }
 }

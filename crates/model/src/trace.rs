@@ -575,8 +575,9 @@ impl RequestTrace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line: wrong field
-    /// count, unparsable number, zero length, or out-of-order arrival.
+    /// Returns a description of the first malformed line, starting with
+    /// `line N:`: wrong field count, unparsable number (including a length
+    /// that does not fit a `u32`), zero length, or out-of-order arrival.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut rows = Vec::new();
         let mut last = SimTime::ZERO;
@@ -593,13 +594,12 @@ impl RequestTrace {
                     fields.len()
                 ));
             };
-            let parse_u64 = |s: &str, what: &str| {
-                s.parse::<u64>()
-                    .map_err(|e| format!("line {}: bad {what} {s:?}: {e}", lineno + 1))
+            let bad = |s: &str, what: &str, e: std::num::ParseIntError| {
+                format!("line {}: bad {what} {s:?}: {e}", lineno + 1)
             };
-            let at = SimTime::from_nanos(parse_u64(at, "arrival")?);
-            let prompt_len = parse_u64(prompt, "prompt_len")? as u32;
-            let gen_len = parse_u64(gen, "gen_len")? as u32;
+            let at = SimTime::from_nanos(at.parse().map_err(|e| bad(at, "arrival", e))?);
+            let prompt_len: u32 = prompt.parse().map_err(|e| bad(prompt, "prompt_len", e))?;
+            let gen_len: u32 = gen.parse().map_err(|e| bad(gen, "gen_len", e))?;
             if prompt_len == 0 || gen_len == 0 {
                 return Err(format!("line {}: lengths must be positive", lineno + 1));
             }
@@ -913,11 +913,117 @@ mod request_trace_tests {
         assert!(RequestTrace::parse("9 2 3\n5 2 3\n")
             .unwrap_err()
             .contains("order"));
+        // Lengths past `u32::MAX` are errors, not truncated to 1 or 0.
+        for text in ["0 4294967297 1\n", "0 4294967296 1\n"] {
+            let err = RequestTrace::parse(text).unwrap_err();
+            assert!(err.starts_with("line 1: bad prompt_len"), "{err}");
+        }
+        assert!(RequestTrace::parse("# h\n0 1 4294967296\n")
+            .unwrap_err()
+            .starts_with("line 2: bad gen_len"));
     }
 
     #[test]
     #[should_panic(expected = "arrival order")]
     fn record_rejects_unsorted_rows() {
         let _ = RequestTrace::record([(t(9), 1, 1), (t(5), 1, 1)]);
+    }
+
+    /// Characters the parse proptests draw text from: the format's own
+    /// alphabet plus signs, letters, tabs, carriage returns, multi-byte
+    /// text and digits enough to overflow every field width.
+    const ALPHABET: &[char] = &[
+        '0', '1', '2', '4', '7', '9', ' ', ' ', '\n', '\n', '#', '-', '+', 'x', '\t', '\r', 'é',
+    ];
+
+    /// `parse` must not panic, must keep accepted values exactly, and any
+    /// `Err` must name a line of `text`.
+    fn check_parse(text: &str) {
+        match RequestTrace::parse(text) {
+            Ok(trace) => {
+                // Every accepted row keeps its values exactly (no field is
+                // truncated to fit), and the result round-trips.
+                let fields: Vec<Vec<u128>> = text
+                    .lines()
+                    .map(str::trim)
+                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                    .map(|l| l.split_whitespace().map(|f| f.parse().unwrap()).collect())
+                    .collect();
+                let rows: Vec<Vec<u128>> = trace
+                    .rows
+                    .iter()
+                    .map(|r| {
+                        vec![
+                            r.at.as_nanos().into(),
+                            r.prompt_len.into(),
+                            r.gen_len.into(),
+                        ]
+                    })
+                    .collect();
+                assert_eq!(fields, rows, "parse altered {text:?}");
+                assert_eq!(RequestTrace::parse(&trace.to_text()), Ok(trace));
+            }
+            Err(e) => {
+                let n: usize = e
+                    .strip_prefix("line ")
+                    .and_then(|rest| rest.split_once(':'))
+                    .and_then(|(n, _)| n.parse().ok())
+                    .unwrap_or(0);
+                assert!(
+                    (1..=text.lines().count()).contains(&n),
+                    "error {e:?} names no line of {text:?}"
+                );
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary text over the format's alphabet never panics.
+            #[test]
+            fn parse_never_panics_on_arbitrary_text(
+                picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..120),
+            ) {
+                let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+                check_parse(&text);
+            }
+
+            /// Valid `to_text` output with a few characters inserted,
+            /// replaced or deleted never panics.
+            #[test]
+            fn parse_never_panics_on_mutated_trace_text(
+                rows in proptest::collection::vec(
+                    (0u64..u64::MAX / 64, 1u32..=u32::MAX, 1u32..=u32::MAX),
+                    0..6,
+                ),
+                edits in proptest::collection::vec(
+                    (0usize..10_000, 0usize..3, 0usize..ALPHABET.len()),
+                    0..6,
+                ),
+            ) {
+                let mut at = 0u64;
+                let trace = RequestTrace::record(rows.iter().map(|&(gap, p, g)| {
+                    at = at.saturating_add(gap);
+                    (t(at), p, g)
+                }));
+                let mut chars: Vec<char> = trace.to_text().chars().collect();
+                for &(pos, op, c) in &edits {
+                    let i = pos % (chars.len() + 1);
+                    match op {
+                        0 => chars.insert(i, ALPHABET[c]),
+                        1 if i < chars.len() => chars[i] = ALPHABET[c],
+                        _ if i < chars.len() => {
+                            chars.remove(i);
+                        }
+                        _ => {}
+                    }
+                }
+                let text: String = chars.into_iter().collect();
+                check_parse(&text);
+            }
+        }
     }
 }

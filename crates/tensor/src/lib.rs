@@ -1,8 +1,9 @@
 //! # klotski-tensor — dense kernels and quantization
 //!
 //! The minimal numerical substrate for the native (really-executed) MoE
-//! path: row-major `f32` [`matrix::Matrix`] with matmul variants, the
-//! transformer activation/normalization kernels in [`ops`], HQQ-style
+//! path: row-major `f32` [`matrix::Matrix`] with matmul variants (x86-64
+//! builds dispatch their micro-kernels to SSE2/AVX2 at runtime, see
+//! [`simd`]), the transformer activation/normalization kernels in [`ops`], HQQ-style
 //! group-wise quantization in [`quant`], and reproducible initialization in
 //! [`init`].
 //!

@@ -16,9 +16,9 @@
 //! per-token matvecs for batched GEMMs without perturbing the
 //! pipeline-vs-reference comparisons.
 //!
-//! With the `simd` cargo feature the register micro-kernels additionally
-//! dispatch to explicit x86-64 intrinsic implementations (see
-//! [`crate::simd`]); those are bit-identical too — each vector lane is one
+//! On x86-64 the register micro-kernels dispatch at runtime to explicit
+//! SSE2/AVX2 intrinsic implementations (see [`crate::simd`]); those are
+//! bit-identical too — each vector lane is one
 //! output's ascending-k scalar chain — so backend choice only moves
 //! wall-clock. The `*_with_backend` entry points pin a backend explicitly;
 //! everything else uses [`active_backend`](crate::simd::active_backend).
@@ -100,10 +100,10 @@ fn axpy_scalar(a: f32, x: &[f32], out: &mut [f32]) {
 }
 
 /// Backend dispatch for the axpy step. All arms are bit-identical; the
-/// SIMD arms only exist when the `simd` feature compiles them in.
+/// SIMD arms exist on x86-64 targets.
 #[inline]
 pub(crate) fn axpy_b(backend: KernelBackend, a: f32, x: &[f32], out: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match backend {
         // SAFETY: availability was checked when `backend` was selected
         // (detection or `force_backend`), and `x` covers `out`.
@@ -162,7 +162,7 @@ pub(crate) fn nt_micro_1xu_b(
     rows: &[&[f32]; NT_COLS],
     acc: &mut [f32; NT_COLS],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match backend {
         // SAFETY: availability was checked when `backend` was selected,
         // and the caller guarantees the row lengths.
@@ -190,7 +190,7 @@ pub(crate) fn nt_micro_2xu_b(
     acc0: &mut [f32; NT_COLS],
     acc1: &mut [f32; NT_COLS],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match backend {
         // SAFETY: availability was checked when `backend` was selected,
         // and the caller guarantees `a0.len() == a1.len()` and the row
@@ -875,7 +875,7 @@ fn wr_block_b(
     sel: &[&[f32]; WR_ROWS],
     out: &mut [f32],
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     match backend {
         // SAFETY: availability was checked when `backend` was selected,
         // and the caller guarantees the row lengths.

@@ -4,7 +4,8 @@
 //! already SIMD-*shaped*: the `nt` GEMM carries [`NT_COLS`](crate::matrix)
 //! independent output-column accumulators, and the AV kernel carries every
 //! output element across a 4-row block. This module makes that shape real
-//! with `core::arch` x86-64 intrinsics, behind the `simd` cargo feature:
+//! with `core::arch` x86-64 intrinsics, compiled into every x86-64 build
+//! and chosen at runtime:
 //!
 //! * **SSE2** (the x86-64 baseline, always available): 4-lane vectors, the
 //!   8 column accumulators split into two halves;
@@ -41,8 +42,8 @@
 //! backends sequentially, tests that must pin a backend use the
 //! `*_with_backend` kernel entry points instead of the global.
 //!
-//! Without the `simd` cargo feature (or off x86-64) the only available
-//! backend is [`KernelBackend::Scalar`] and this module is pure plumbing.
+//! Off x86-64 the only available backend is [`KernelBackend::Scalar`]
+//! and this module is pure plumbing.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -51,14 +52,14 @@ use std::sync::atomic::{AtomicU8, Ordering};
 ///
 /// All backends produce **byte-identical** results; the choice only moves
 /// wall-clock. Ordered by capability: a backend is available when the
-/// build (cargo feature `simd`, x86-64 target) and the CPU support it.
+/// target (x86-64) and the CPU support it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KernelBackend {
     /// Portable scalar Rust — the pinned reference all other backends must
     /// match bit-for-bit. Always available.
     Scalar,
     /// x86-64 SSE2: 4-lane `f32` vectors. Part of the x86-64 baseline, so
-    /// available whenever the `simd` feature is compiled in on x86-64.
+    /// available on every x86-64 CPU; the path taken when AVX2 is not.
     Sse2,
     /// x86-64 AVX2: 8-lane `f32` vectors (detected together with FMA,
     /// though the kernels deliberately use separate mul/add — see the
@@ -105,13 +106,14 @@ impl fmt::Display for KernelBackend {
     }
 }
 
-/// The best backend this build supports on this CPU.
+/// The best backend this CPU supports, picked at runtime in the default
+/// build.
 ///
-/// `Scalar` when the `simd` cargo feature is off or the target is not
-/// x86-64; otherwise `Sse2` (the x86-64 baseline) upgraded to `Avx2` when
-/// the CPU reports it. Detection runs once and is cached.
+/// `Scalar` when the target is not x86-64; otherwise `Sse2` (the x86-64
+/// baseline) upgraded to `Avx2` when the CPU reports it. Detection runs
+/// once and is cached.
 pub fn detected_backend() -> KernelBackend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         use std::sync::OnceLock;
         static DETECTED: OnceLock<KernelBackend> = OnceLock::new();
@@ -123,7 +125,7 @@ pub fn detected_backend() -> KernelBackend {
             }
         })
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     KernelBackend::Scalar
 }
 
@@ -141,13 +143,18 @@ static FORCED: AtomicU8 = AtomicU8::new(0);
 /// silently falling back would make an A/B benchmark lie.
 pub fn force_backend(backend: Option<KernelBackend>) {
     if let Some(b) = backend {
-        assert!(
-            b.is_available(),
-            "kernel backend {b} unavailable (detected: {})",
-            detected_backend()
-        );
+        assert_forceable(b, detected_backend());
     }
     FORCED.store(backend.map_or(0, KernelBackend::to_u8), Ordering::Relaxed);
+}
+
+/// The availability check behind [`force_backend`], against an explicit
+/// `detected` backend so every pair is testable on any host.
+fn assert_forceable(backend: KernelBackend, detected: KernelBackend) {
+    assert!(
+        backend <= detected,
+        "kernel backend {backend} unavailable (detected: {detected})"
+    );
 }
 
 /// The backend the implicit-backend kernel entry points currently use:
@@ -215,7 +222,7 @@ pub fn cpu_features() -> String {
 /// The x86-64 intrinsic kernels. Each mirrors one scalar micro-kernel in
 /// `matrix.rs` exactly: same per-lane accumulation order, same rounding
 /// (separate mul + add), scalar chain continuation for k-tails.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
@@ -645,13 +652,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unavailable")]
-    fn forcing_an_unavailable_backend_panics() {
-        if detected_backend() == KernelBackend::Avx2 {
-            // Everything is available on this machine; synthesize the
-            // panic so the test holds everywhere.
-            panic!("kernel backend avx2 unavailable (detected: avx2) [synthetic]");
+    #[cfg(target_arch = "x86_64")]
+    fn default_build_dispatches_simd_on_x86_64() {
+        assert!(detected_backend() >= KernelBackend::Sse2);
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(detected_backend(), KernelBackend::Avx2);
         }
-        force_backend(Some(KernelBackend::Avx2));
+    }
+
+    #[test]
+    fn forcing_an_unavailable_backend_panics() {
+        // Checked against every possible detection result, not just this
+        // host's: on an AVX2 machine nothing is unavailable.
+        let all = [
+            KernelBackend::Scalar,
+            KernelBackend::Sse2,
+            KernelBackend::Avx2,
+        ];
+        for detected in all {
+            for backend in all {
+                let panicked =
+                    std::panic::catch_unwind(|| assert_forceable(backend, detected)).is_err();
+                assert_eq!(
+                    panicked,
+                    backend > detected,
+                    "force {backend} on {detected}"
+                );
+            }
+        }
     }
 }

@@ -111,6 +111,31 @@ fn bench_quantizer(c: &mut Criterion) {
             black_box(out.row(63)[1023])
         })
     });
+    // Expert-shaped 4-bit matrices (w1/w3 are d_ff × d_model, w2 is
+    // d_model × d_ff at the native_throughput bench model): the per-call
+    // store build, the staged fetch, and a 4-token fused decode GEMM.
+    for (rows, cols) in [(1024usize, 256usize), (256, 1024)] {
+        let w = xavier_matrix(rows, cols, 8);
+        c.bench_function(&format!("tensor/quantize_{rows}x{cols}_4bit"), |b| {
+            b.iter(|| black_box(QuantizedMatrix::quantize(&w, QuantConfig::paper_default())))
+        });
+        let q = QuantizedMatrix::quantize(&w, QuantConfig::paper_default());
+        let mut dense = klotski_tensor::matrix::Matrix::zeros(rows, cols);
+        c.bench_function(&format!("tensor/dequantize_into_{rows}x{cols}_4bit"), |b| {
+            b.iter(|| {
+                q.dequantize_into(&mut dense);
+                black_box(dense.row(rows - 1)[cols - 1])
+            })
+        });
+        let xs = xavier_matrix(4, cols, 9);
+        let mut out = klotski_tensor::matrix::Matrix::zeros(4, rows);
+        c.bench_function(&format!("tensor/fused_gemm_4x{cols}x{rows}_4bit"), |b| {
+            b.iter(|| {
+                q.matmul_nt_fused_into(&xs, &mut out);
+                black_box(out.row(3)[rows - 1])
+            })
+        });
+    }
 }
 
 fn bench_simd_kernels(c: &mut Criterion) {

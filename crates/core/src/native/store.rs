@@ -161,6 +161,51 @@ mod tests {
         assert!(!ExpertStore::from_model(&model, None).is_quantized());
     }
 
+    /// FNV-1a over a `Debug` rendering, streamed so the multi-megabyte
+    /// text of a whole store is never held in memory.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// Golden pin of the packed store: every expert of the
+    /// `native_throughput` bench model (4 layers × 8 experts, d_model 256,
+    /// d_ff 1024) quantized at the paper default. The `Debug` form prints
+    /// every field of each matrix — shape, config, packed bytes, scales and
+    /// zeros — and `f32` `Debug` is the shortest round-trip form, so any
+    /// change to a code byte or to the bits of a scale or zero changes the
+    /// hash. Never re-bless: the quantizer's output is a storage format.
+    #[test]
+    fn quantized_store_golden_pin() {
+        use std::fmt::Write as _;
+        let model = MoeModel::new(MoeConfig {
+            n_layers: 4,
+            d_model: 256,
+            d_ff: 1024,
+            n_heads: 8,
+            head_dim: 32,
+            n_experts: 8,
+            top_k: 2,
+            vocab: 512,
+            seed: 77,
+        });
+        let store = ExpertStore::from_model(&model, Some(QuantConfig::paper_default()));
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for expert in store.experts.iter().flatten() {
+            match expert {
+                StoredExpert::Quantized(q) => write!(h, "{q:?}").unwrap(),
+                StoredExpert::Full(_) => unreachable!("store is quantized"),
+            }
+        }
+        assert_eq!(h.0, 0x9ca2_739f_2fcc_f686, "packed store changed");
+    }
+
     #[test]
     #[should_panic(expected = "full-precision store")]
     fn packed_fetch_rejects_full_store() {
